@@ -172,6 +172,16 @@ func (c Config) clusterPoint(sk homomorphic.PrivateKey, table *database.Table, s
 		return ClusterRow{}, fmt.Errorf("wrong sum %v, want %v", got, want)
 	}
 
+	// Every runtime records its phase histograms after flushing its reply:
+	// settle the proxy and each shard before reading them.
+	settleCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, m := range members {
+		if err := m.srv.Settle(settleCtx); err != nil {
+			return ClusterRow{}, fmt.Errorf("settling sessions: %w", err)
+		}
+	}
+
 	row := ClusterRow{Shards: k, Total: total}
 	for _, srv := range backendSrvs {
 		fold := time.Duration(srv.Metrics().AbsorbNanos.Snapshot().Sum)

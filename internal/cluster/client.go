@@ -562,8 +562,12 @@ func (c *Client) Query(ctx context.Context, backends []string, sk homomorphic.Pr
 
 // QuerySpec describes one multi-column query for QueryColumns.
 type QuerySpec struct {
-	// Sel is the secret selection (required).
+	// Sel is the secret selection (required unless Vector is set).
 	Sel *database.Selection
+	// Vector, when non-nil, is uploaded instead of Sel's bits: a weighted
+	// index vector such as a packed group-by's (selectedsum.Packed). It
+	// brings its own encryption, so Pool is unused.
+	Vector selectedsum.VectorSource
 	// ChunkSize batches the index stream; 0 sends one chunk.
 	ChunkSize int
 	// Pool supplies preprocessed bit encryptions; nil encrypts online.
@@ -583,7 +587,13 @@ func (c *Client) QueryColumns(ctx context.Context, backends []string, sk homomor
 	var sums []*big.Int
 	_, err := c.Do(ctx, backends, func(s *Session) error {
 		s.Conn.SetTraceID(spec.TraceID)
-		got, err := selectedsum.QueryColumns(s.Conn, sk, spec.Sel, spec.ChunkSize, spec.Pool, spec.Columns)
+		var got []*big.Int
+		var err error
+		if spec.Vector != nil {
+			got, err = selectedsum.QueryVectorColumns(s.Conn, sk, spec.Vector, spec.ChunkSize, spec.Columns)
+		} else {
+			got, err = selectedsum.QueryColumns(s.Conn, sk, spec.Sel, spec.ChunkSize, spec.Pool, spec.Columns)
+		}
 		if err != nil {
 			return err
 		}

@@ -264,6 +264,12 @@ func TestClusterFailover(t *testing.T) {
 		t.Errorf("live replica sessions = %d, want >= 1", bs.Sessions)
 	}
 	// The hosting runtime completed the session despite the mid-run death.
+	// It records that after flushing the reply, so settle first.
+	settleCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Settle(settleCtx); err != nil {
+		t.Fatalf("settling proxy sessions: %v", err)
+	}
 	if srv.Metrics().SessionsCompleted.Value() != 1 {
 		t.Errorf("proxy completed = %d, want 1", srv.Metrics().SessionsCompleted.Value())
 	}

@@ -10,8 +10,8 @@ import (
 
 	"privstats/internal/cluster"
 	"privstats/internal/homomorphic"
+	"privstats/internal/selectedsum"
 	"privstats/internal/trace"
-	"privstats/internal/wire"
 )
 
 // Executor runs plans against a cluster (or single-server) endpoint through
@@ -72,32 +72,28 @@ func (e *Executor) Run(ctx context.Context, plan *Plan, id trace.ID) (res *Resul
 		e.Traces.Add(tr)
 	}()
 
-	// A variance fold needs the plaintext space to hold Σx² ≈ n·2⁶⁴; guard
-	// before querying so a too-small key fails loudly instead of wrapping
-	// mod N into a silently wrong statistic.
+	// Every sum must stay below the plaintext modulus: a fold that reaches N
+	// wraps into a silently wrong statistic, so a too-small key fails
+	// loudly before any query runs.
 	pk := e.Key.PublicKey()
-	for _, st := range plan.Steps {
-		if st.Columns.Has(wire.ColSquare) {
-			bound := new(big.Int).Lsh(big.NewInt(int64(st.Sel.Len())), 64)
-			if bound.Cmp(pk.PlaintextSpace()) >= 0 {
-				return nil, fmt.Errorf("jobs: plaintext space too small for Σx² over %d rows", st.Sel.Len())
-			}
+	for i := range plan.Steps {
+		st := &plan.Steps[i]
+		if err := fitsPlaintext(st.maxPlaintext(), pk); err != nil {
+			return nil, fmt.Errorf("jobs: step %s over %d rows: %w", st.Label, st.Sel.Len(), err)
 		}
 	}
 
 	sums := make([][]*big.Int, len(plan.Steps))
-	for i, st := range plan.Steps {
+	for i := range plan.Steps {
+		st := &plan.Steps[i]
 		start := time.Now()
-		got, qerr := e.Client.QueryColumns(ctx, e.Backends, e.Key, cluster.QuerySpec{
-			Sel:       st.Sel,
-			ChunkSize: e.ChunkSize,
-			Pool:      e.Pool,
-			Columns:   st.Columns,
-			TraceID:   [16]byte(id),
-		})
+		got, qerr := e.query(ctx, st, id)
 		attrs := map[string]string{
 			"columns":  st.Columns.String(),
 			"selected": strconv.Itoa(st.Sel.Count()),
+		}
+		if st.Groups != nil {
+			attrs["slots"] = strconv.Itoa(len(st.Groups))
 		}
 		if qerr != nil {
 			attrs["error"] = qerr.Error()
@@ -112,4 +108,42 @@ func (e *Executor) Run(ctx context.Context, plan *Plan, id trace.ID) (res *Resul
 		}
 	}
 	return plan.finish(sums)
+}
+
+// query runs one step through the fan-out client. A plain step uploads its
+// selection bits; a packed step uploads its weighted vector and splits the
+// one decrypted sum into its groups' slots.
+func (e *Executor) query(ctx context.Context, st *Step, id trace.ID) ([]*big.Int, error) {
+	spec := cluster.QuerySpec{
+		Sel:       st.Sel,
+		ChunkSize: e.ChunkSize,
+		Pool:      e.Pool,
+		Columns:   st.Columns,
+		TraceID:   [16]byte(id),
+	}
+	if st.Groups == nil {
+		return e.Client.QueryColumns(ctx, e.Backends, e.Key, spec)
+	}
+	vec, err := selectedsum.NewPacked(e.Key, e.Pool, st.slots(), slotBits(st.Sel.Len()))
+	if err != nil {
+		return nil, err
+	}
+	spec.Vector = vec
+	got, err := e.Client.QueryColumns(ctx, e.Backends, e.Key, spec)
+	if err != nil {
+		return nil, err
+	}
+	return st.unpack(got[0])
+}
+
+// fitsPlaintext is the jobs layer's one plaintext-bound check: it fails
+// unless every value up to bound is a distinct plaintext of pk, i.e.
+// bound ≤ N−1. The executor routes every step through it — the n·2⁶⁴
+// bound of a plain or Σx² fold and the 2^(B·s)−1 bound of a packed
+// group-by alike.
+func fitsPlaintext(bound *big.Int, pk homomorphic.PublicKey) error {
+	if space := pk.PlaintextSpace(); bound.Cmp(space) >= 0 {
+		return fmt.Errorf("plaintext space too small: sums reach %d bits, the key's space is %d bits", bound.BitLen(), space.BitLen())
+	}
+	return nil
 }

@@ -179,6 +179,12 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
+// plan builds spec's plan against the served schema, packing group-by
+// slots into the executor key's plaintext space.
+func (g *Gateway) plan(spec *JobSpec) (*Plan, error) {
+	return BuildPlan(spec, g.cfg.Schema, g.cfg.Exec.Key.PublicKey().PlaintextSpace())
+}
+
 // Metrics returns the per-tenant counter registry (for /metrics mounting).
 func (g *Gateway) Metrics() *metrics.JobMetrics { return g.m }
 
@@ -218,7 +224,7 @@ func (g *Gateway) Submit(tenant string, spec *JobSpec) (Job, error) {
 		tm.Rejected.Inc()
 		return Job{}, badJob("spec", "missing")
 	}
-	plan, err := BuildPlan(spec, g.cfg.Schema)
+	plan, err := g.plan(spec)
 	if err != nil {
 		tm.Rejected.Inc()
 		return Job{}, err

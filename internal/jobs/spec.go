@@ -104,9 +104,10 @@ type GroupByParams struct {
 	Groups int `json:"groups"`
 }
 
-// MaxGroups bounds a groupby fan-out: each non-empty group costs one
-// cluster query, so the cap keeps one spec from launching an unbounded
-// query storm.
+// MaxGroups bounds a groupby fan-out. The plan packs s non-empty groups
+// into each uplink (groupSlots: 6 at a 512-bit key, 27 at 2048 bits for
+// tables under 1024 rows), so a job costs ⌈G/s⌉ cluster queries and the cap
+// holds one spec to at most 43 of them at the paper's key size.
 const MaxGroups = 256
 
 // DecodeJobSpec parses a JSON JobSpec, rejecting unknown fields, trailing

@@ -165,7 +165,7 @@ func FuzzDecodeJobSpec(f *testing.F) {
 			if err := again.Validate(schema); err != nil {
 				t.Fatalf("round trip changed validity: %v", err)
 			}
-			if _, err := BuildPlan(spec, schema); err != nil {
+			if _, err := BuildPlan(spec, schema, keySpace(512)); err != nil {
 				t.Fatalf("valid spec failed to plan: %v", err)
 			}
 		}

@@ -291,14 +291,11 @@ func QueryColumns(conn *wire.Conn, sk homomorphic.PrivateKey, sel *database.Sele
 	if sk == nil {
 		return nil, errors.New("selectedsum: nil private key")
 	}
-	if !cols.Valid() {
-		return nil, fmt.Errorf("selectedsum: unknown column bits in set %s", cols)
-	}
 	enc := onlineEncryptor(sk, sk.PublicKey())
 	if pool != nil {
 		enc = Pooled{Pool: pool}
 	}
-	return queryVector(conn, sk, selectionSource{sel: sel, enc: enc}, chunkSize, cols)
+	return QueryVectorColumns(conn, sk, selectionSource{sel: sel, enc: enc}, chunkSize, cols)
 }
 
 // QueryVector is Query over an arbitrary encrypted-vector source — the
@@ -313,22 +310,27 @@ func QueryColumns(conn *wire.Conn, sk homomorphic.PrivateKey, sel *database.Sele
 // client only notices via a broken-pipe write error once the server hangs
 // up, and the RST that follows can destroy the unread explanation.
 func QueryVector(conn *wire.Conn, sk homomorphic.PrivateKey, src VectorSource, chunkSize int) (*big.Int, error) {
-	sums, err := queryVector(conn, sk, src, chunkSize, 0)
+	sums, err := QueryVectorColumns(conn, sk, src, chunkSize, 0)
 	if err != nil {
 		return nil, err
 	}
 	return sums[0], nil
 }
 
-// queryVector is the shared client loop: upload once, collect one decrypted
-// sum per requested column (cols == 0 means the classic value-only session,
-// encoded without the columns trailer so old servers still parse).
-func queryVector(conn *wire.Conn, sk homomorphic.PrivateKey, src VectorSource, chunkSize int, cols wire.ColumnSet) ([]*big.Int, error) {
+// QueryVectorColumns is QueryColumns over an arbitrary encrypted-vector
+// source, and the shared client loop behind every query: upload once,
+// collect one decrypted sum per requested column (cols == 0 means the
+// classic value-only session, encoded without the columns trailer so old
+// servers still parse).
+func QueryVectorColumns(conn *wire.Conn, sk homomorphic.PrivateKey, src VectorSource, chunkSize int, cols wire.ColumnSet) ([]*big.Int, error) {
 	if sk == nil {
 		return nil, errors.New("selectedsum: nil private key")
 	}
 	if src == nil {
 		return nil, errors.New("selectedsum: nil vector source")
+	}
+	if !cols.Valid() {
+		return nil, fmt.Errorf("selectedsum: unknown column bits in set %s", cols)
 	}
 	if cols == wire.ColValue {
 		// Value-only is the wire default; omit the trailer for interop.

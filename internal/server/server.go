@@ -152,6 +152,9 @@ type Server struct {
 	active    map[net.Conn]struct{}
 	closing   bool
 	wg        sync.WaitGroup // in-flight admitted sessions
+	// idle is closed, and replaced, each time the last in-flight session
+	// finishes its accounting; Settle waits on it.
+	idle chan struct{}
 
 	done     chan struct{} // closed when shutdown begins
 	doneOnce sync.Once
@@ -209,6 +212,7 @@ func NewHandler(h Handler, cfg Config) (*Server, error) {
 		sem:       make(chan struct{}, cfg.MaxSessions),
 		listeners: make(map[net.Listener]struct{}),
 		active:    make(map[net.Conn]struct{}),
+		idle:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}, nil
 }
@@ -219,6 +223,29 @@ func (s *Server) Metrics() *metrics.ServerMetrics { return s.m }
 
 // Traces returns the trace recorder from Config; nil when tracing is off.
 func (s *Server) Traces() *trace.Recorder { return s.cfg.Traces }
+
+// Settle is the completion barrier for reading session counters: it waits
+// until no session is in flight, so every session admitted so far has
+// recorded SessionsCompleted or SessionsFailed, its phase histograms, its
+// byte counts, and whatever its handler counts. The runtime records them
+// after it flushes the reply, so a client holding its answer can otherwise
+// read them one short. Settle returns ctx's error if sessions are still
+// running when ctx ends.
+func (s *Server) Settle(ctx context.Context) error {
+	for {
+		s.mu.Lock()
+		inFlight, idle := len(s.active), s.idle
+		s.mu.Unlock()
+		if inFlight == 0 {
+			return nil
+		}
+		select {
+		case <-idle:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
 
 // ActiveSessions returns the number of sessions currently running.
 func (s *Server) ActiveSessions() int { return len(s.sem) }
@@ -331,14 +358,20 @@ func (s *Server) rejectBusy(conn net.Conn) {
 // exchange, metrics, and cleanup. Panics are isolated to the session.
 func (s *Server) runSession(conn net.Conn) {
 	defer s.wg.Done()
-	defer func() { <-s.sem }()
-	defer s.m.ActiveSessions.Dec()
 	defer func() {
+		conn.Close()
+		s.m.ActiveSessions.Dec()
+		<-s.sem
+		s.noteServed()
+		// Last: the session leaves the in-flight set only once every
+		// counter it touches is recorded, which is what Settle waits for.
 		s.mu.Lock()
 		delete(s.active, conn)
+		if len(s.active) == 0 {
+			close(s.idle)
+			s.idle = make(chan struct{})
+		}
 		s.mu.Unlock()
-		conn.Close()
-		s.noteServed()
 	}()
 
 	start := time.Now()

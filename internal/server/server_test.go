@@ -198,3 +198,61 @@ func TestStress32ConcurrentSessions(t *testing.T) {
 		t.Errorf("active high-water mark = %d, want in [1,%d]", max, clients)
 	}
 }
+
+// TestSettleWaitsForSessionAccounting pins the completion barrier: a
+// session that has flushed its reply but not yet returned keeps Settle
+// waiting, and once it returns Settle sees its counters recorded.
+func TestSettleWaitsForSessionAccounting(t *testing.T) {
+	release := make(chan struct{})
+	srv, err := NewHandler(HandlerFunc(func(conn *wire.Conn, _ *selectedsum.PhaseTimings) error {
+		if err := conn.Send(wire.MsgSum, []byte{1}); err != nil {
+			return err
+		}
+		<-release
+		return nil
+	}), Config{Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		<-errc
+	}()
+
+	if err := srv.Settle(context.Background()); err != nil {
+		t.Fatalf("Settle on an idle server: %v", err)
+	}
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := wire.NewConn(raw).Recv(); err != nil {
+		t.Fatalf("reading the reply: %v", err)
+	}
+	// The client holds its reply; the session has not accounted yet.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	err = srv.Settle(ctx)
+	cancel()
+	if err != context.DeadlineExceeded {
+		t.Fatalf("Settle with a session in flight = %v, want DeadlineExceeded", err)
+	}
+	close(release)
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Settle(ctx); err != nil {
+		t.Fatalf("Settle: %v", err)
+	}
+	m := srv.Metrics()
+	if m.SessionsCompleted.Value() != 1 || m.ActiveSessions.Value() != 0 {
+		t.Fatalf("after Settle: completed=%d active=%d, want 1 and 0", m.SessionsCompleted.Value(), m.ActiveSessions.Value())
+	}
+}

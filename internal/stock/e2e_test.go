@@ -184,7 +184,7 @@ func rawStockConn(t *testing.T, addr string) *wire.Conn {
 
 func TestHandlerRejectsBadHellos(t *testing.T) {
 	sk, other := testKeys(t)
-	addr, inv, _ := startStockd(t, InventoryConfig{
+	addr, inv, srv := startStockd(t, InventoryConfig{
 		Targets: Targets{Zeros: 4},
 		MaxKeys: 1,
 	})
@@ -256,6 +256,13 @@ func TestHandlerRejectsBadHellos(t *testing.T) {
 		expectReject(t, wire.MsgStockHello, h.Encode(), "busy")
 	})
 
+	// The handler counts a reject after sending it: settle the daemon's
+	// sessions before reading the counter.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Settle(ctx); err != nil {
+		t.Fatalf("settling stockd sessions: %v", err)
+	}
 	if rejects := inv.Metrics().HelloRejects.Value(); rejects < 6 {
 		t.Errorf("HelloRejects = %d, want >= 6", rejects)
 	}

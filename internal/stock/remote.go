@@ -196,52 +196,56 @@ func (s *RemoteSource) OnlineFallbacks() int {
 
 // Prime fetches until every local inventory reaches its target (the bench
 // and e2e setup path: a primed source proves OnlineFallbacks == 0 is
-// attainable). It returns the first fetch error, with whatever stock already
-// landed left in place.
+// attainable). A daemon that answers with an empty batch is still minting
+// (a fresh or restarted stockd refills in the background), so Prime backs
+// off and asks again until ctx ends; it returns ctx's error then. Any fetch
+// error is returned at once. Either way, whatever stock already landed is
+// left in place.
 func (s *RemoteSource) Prime(ctx context.Context) error {
+	wait := minPrimeBackoff
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		zeros, ones := s.store.Depth()
-		needZ := s.cfg.TargetZeros - zeros
-		needO := s.cfg.TargetOnes - ones
-		needR := s.cfg.TargetRandomizers - s.rpool.Depth()
+		var (
+			kind Kind
+			need int
+		)
 		switch {
-		case needZ > 0:
-			if err := s.primeStep(KindZeroBits, needZ); err != nil {
-				return err
-			}
-		case needO > 0:
-			if err := s.primeStep(KindOneBits, needO); err != nil {
-				return err
-			}
-		case needR > 0:
-			if err := s.primeStep(KindRandomizers, needR); err != nil {
-				return err
-			}
+		case s.cfg.TargetZeros > zeros:
+			kind, need = KindZeroBits, s.cfg.TargetZeros-zeros
+		case s.cfg.TargetOnes > ones:
+			kind, need = KindOneBits, s.cfg.TargetOnes-ones
+		case s.cfg.TargetRandomizers > s.rpool.Depth():
+			kind, need = KindRandomizers, s.cfg.TargetRandomizers-s.rpool.Depth()
 		default:
 			return nil
 		}
+		got, err := s.fetch(kind, min(need, s.cfg.Batch))
+		if err != nil {
+			return err
+		}
+		if got > 0 {
+			wait = minPrimeBackoff
+			continue
+		}
+		t := time.NewTimer(wait)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return fmt.Errorf("stock: daemon has no %v stock yet (%d still needed): %w", kind, need, ctx.Err())
+		case <-t.C:
+		}
+		wait = min(2*wait, maxPrimeBackoff)
 	}
 }
 
-// primeStep fetches one batch toward a deficit, failing when the daemon had
-// nothing (so Prime cannot spin on an empty inventory).
-func (s *RemoteSource) primeStep(kind Kind, need int) error {
-	count := need
-	if count > s.cfg.Batch {
-		count = s.cfg.Batch
-	}
-	got, err := s.fetch(kind, count)
-	if err != nil {
-		return err
-	}
-	if got == 0 {
-		return fmt.Errorf("stock: daemon has no %v stock yet (%d still needed)", kind, need)
-	}
-	return nil
-}
+// Prime's backoff against a daemon that has nothing to hand out yet.
+const (
+	minPrimeBackoff = 2 * time.Millisecond
+	maxPrimeBackoff = 100 * time.Millisecond
+)
 
 // Close stops the refiller and closes the daemon session.
 func (s *RemoteSource) Close() error {
